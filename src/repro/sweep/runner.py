@@ -4,10 +4,9 @@ The runner separates *what* to simulate (:class:`ScenarioSpec`) from *how*
 to execute it:
 
 - :class:`SerialExecutor` runs points in order in the calling process;
-- :class:`ProcessExecutor` streams points through a
-  :class:`~concurrent.futures.ProcessPoolExecutor` with a bounded
-  submission window, so thousand-point grids hold O(jobs) task payloads
-  in flight instead of the whole grid.
+- :class:`ProcessExecutor` feeds points one at a time to ``jobs``
+  persistent worker processes over pipes, so thousand-point grids hold
+  O(jobs) task payloads in flight instead of the whole grid.
 
 Both feed one shared memo cache keyed on the spec's canonical cache key, so
 experiments that revisit points (Fig 10 reuses Fig 9's baselines; Table 5
@@ -20,9 +19,10 @@ written back, so repeated CLI invocations reuse runs across processes.
 Individual failures are governed by a :class:`FailurePolicy` — per-point
 timeout, retry count, and a ``raise``/``skip``/``record`` mode — so one bad
 point no longer discards an entire sweep. Even in ``raise`` mode the
-process executor cancels pending futures and delivers already-completed
-results (they reach ``on_result`` and therefore the caches) before
-propagating the error.
+process executor stops sending queued points and delivers the results of
+running ones (they reach ``on_result`` and therefore the caches) before
+propagating the error. A timed-out point's worker is SIGKILLed and a dead
+worker replaced; either fails that one point only.
 
 Simulations are deterministic functions of their spec, so serial and
 parallel execution produce identical results — the process pool only
@@ -31,17 +31,11 @@ changes wall-clock time.
 
 from __future__ import annotations
 
-import inspect
 import multiprocessing
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    CancelledError,
-    ProcessPoolExecutor,
-    wait,
-)
 from dataclasses import dataclass
-from time import monotonic, sleep
+from multiprocessing.connection import wait
+from time import monotonic
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -106,11 +100,6 @@ def _execute_spec_dict(data: Dict[str, object]) -> RunResult:
     return ScenarioSpec.from_dict(data).execute()
 
 
-def _worker_ready() -> bool:
-    """No-op task used to warm a pool before timeout deadlines start."""
-    return True
-
-
 # -- failure handling ---------------------------------------------------------
 
 #: FailurePolicy modes.
@@ -126,25 +115,18 @@ class FailurePolicy:
 
     Attributes:
         mode: ``"raise"`` aborts the sweep on the first terminal failure
-            (after cancelling pending work and delivering completed
-            results); ``"skip"`` drops the point (its result slot becomes
+            (after dropping queued points and delivering the results of
+            finished and running ones); ``"skip"`` drops the point (its result slot becomes
             ``None``); ``"record"`` keeps a :class:`PointFailure` in the
             result slot.
         timeout: per-point wall-clock budget in seconds (process executor
-            only), measured from submission to a free worker — points are
-            never submitted while all workers are busy, so queue wait
-            does not count. A timed-out point is treated as failed; what
-            happens to its worker depends on the point's size (see
-            :data:`KILL_THRESHOLD_REQUESTS`). Small points (at most the
-            threshold in simulated requests) run on the shared pool, and
-            a timed-out one is merely *abandoned*: it may keep running,
-            occupying a pool slot and delaying final pool shutdown, but
-            it cannot fail other points. Points above the threshold run
-            on a dedicated killable process instead, which is
-            ``terminate()``-d on timeout so a runaway simulation stops
-            burning CPU immediately. The distributed executor ignores
-            this field — there, runaway points are bounded by lease
-            expiry and requeued on another worker.
+            only), measured from the moment the point is sent to a ready
+            worker, so neither queue wait nor worker start-up counts. A
+            timed-out point is treated as failed and its worker is
+            SIGKILLed and replaced, so a runaway simulation stops burning
+            CPU immediately. The distributed executor ignores this field
+            — there, runaway points are bounded by lease expiry and
+            requeued on another worker.
         retries: how many times a failed/timed-out point is resubmitted
             before its failure becomes terminal.
     """
@@ -408,167 +390,99 @@ class ShardedExecutor(SerialExecutor):
         return spec.execute()
 
 
-#: Above roughly this many simulated requests (``qps * horizon *
-#: fanout``), a timed-out point is too expensive to merely abandon: the
-#: pool worker would keep burning CPU for the full simulation. Such
-#: points run on a dedicated, terminate()-able process instead.
-KILL_THRESHOLD_REQUESTS = 2_000_000.0
+def _worker_main(conn) -> None:
+    """Body of one :class:`ProcessExecutor` worker process.
 
-
-def _point_size(spec: ScenarioSpec) -> float:
-    """Approximate simulated request count — the point's CPU weight."""
-    return spec.qps * spec.horizon * spec.fanout
-
-
-def _killable_point_entry(conn, spec_dict: Dict[str, object]) -> None:
-    """Child entry of a killable point: run the spec, ship the outcome.
-
-    Sends ``("ok", result)`` or ``("err", exception)`` over the pipe;
-    an unpicklable exception degrades to its description. ``send`` may
-    block on a large payload until the parent reads — that is fine, the
-    parent polls the receiving end, and ``terminate()`` still works
-    mid-send.
+    Sends ``("ready", None)`` once, then answers each spec dict received
+    with ``("ok", result)`` or ``("err", exception)``; an unpicklable
+    exception degrades to its description. ``None`` asks it to exit.
     """
-    try:
-        result = _execute_spec_dict(spec_dict)
-    except BaseException as exc:  # ship, don't lose, worker-side failures
+    conn.send(("ready", None))
+    while True:
+        spec_dict = conn.recv()
+        if spec_dict is None:
+            return
         try:
-            conn.send(("err", exc))
-        except Exception:
-            conn.send(("err", SimulationError(_describe(exc))))
-    else:
-        conn.send(("ok", result))
-    conn.close()
+            result = _execute_spec_dict(spec_dict)
+        except BaseException as exc:  # ship, don't lose, worker-side failures
+            try:
+                conn.send(("err", exc))
+            except Exception:
+                conn.send(("err", SimulationError(_describe(exc))))
+        else:
+            conn.send(("ok", result))
 
 
-class _KillablePoint:
-    """One big point on its own dedicated ``terminate()``-able process.
+class _Worker:
+    """One persistent worker process, fed one point at a time over a pipe.
 
-    ``concurrent.futures`` cannot kill a running worker, so a timed-out
-    pool point is merely *abandoned* — its worker keeps simulating to
-    completion. Cheap points make that a bounded nuisance; a
-    million-request cluster point would squat a core for minutes. Points
-    above :data:`KILL_THRESHOLD_REQUESTS` therefore bypass the pool and
-    run here, where the timeout is enforced with a hard ``terminate()``.
+    ``point`` is the ``(index, attempt)`` it is simulating (``None`` when
+    idle) and ``sent`` the monotonic time that point was sent.
     """
 
-    __slots__ = ("index", "attempt", "spec", "deadline", "process", "_recv")
+    __slots__ = ("conn", "process", "ready", "point", "sent")
 
-    def __init__(
-        self,
-        index: int,
-        attempt: int,
-        spec: ScenarioSpec,
-        deadline: Optional[float],
-    ):
-        self.index = index
-        self.attempt = attempt
-        self.spec = spec
-        self.deadline = deadline
-        self._recv, child = multiprocessing.Pipe(duplex=False)
+    def __init__(self) -> None:
+        self.conn, child = multiprocessing.Pipe()
         self.process = multiprocessing.Process(
-            target=_killable_point_entry,
-            args=(child, spec.to_dict()),
-            daemon=True,
+            target=_worker_main, args=(child,), daemon=True
         )
         self.process.start()
         child.close()
+        self.ready = False
+        self.point: Optional[Tuple[int, int]] = None
+        self.sent = 0.0
 
-    def poll(self) -> Optional[Tuple[str, object]]:
-        """``("ok", result)`` / ``("err", exc)``, or ``None`` if running.
+    def receive(self) -> Optional[Tuple[str, object]]:
+        """The waiting message; ``None`` if there is none or the worker died."""
+        try:
+            return self.conn.recv() if self.conn.poll() else None
+        except (EOFError, OSError):
+            return None
 
-        The pipe is checked before liveness: a child that finished and
-        exited may still have its outcome buffered in the pipe.
-        """
-        if self._recv.poll():
-            try:
-                outcome = self._recv.recv()
-            except (EOFError, OSError):
-                outcome = None
-            self.process.join()
-            self._recv.close()
-            if outcome is not None:
-                return outcome
-            return (
-                "err",
-                SimulationError(
-                    "killable worker closed its pipe without a result "
-                    f"(exit code {self.process.exitcode})"
-                ),
-            )
-        if not self.process.is_alive():
-            self.process.join()
-            self._recv.close()
-            return (
-                "err",
-                SimulationError(
-                    "killable worker died before returning a result "
-                    f"(exit code {self.process.exitcode})"
-                ),
-            )
-        return None
+    def stop(self) -> None:
+        """Ask an idle worker to exit, then reap it."""
+        try:
+            self.conn.send(None)
+        except OSError:
+            pass  # already dead
+        self.process.join()
+        self.conn.close()
 
     def kill(self) -> None:
-        """Hard-stop the worker now (idempotent)."""
-        self.process.terminate()
+        """SIGKILL a busy worker (a SIGTERM handler cannot swallow it)."""
+        self.process.kill()
         self.process.join()
-        self._recv.close()
+        self.conn.close()
 
 
 class ProcessExecutor:
-    """Stream points through a process pool with a bounded window.
+    """Run points on ``jobs`` persistent worker processes.
 
     Results are identical to :class:`SerialExecutor` for the same specs:
     each simulation is a deterministic function of its spec, and results
     are returned positionally regardless of completion order.
 
-    Submission is chunked ``imap``-style: at most ``jobs * chunk_factor``
-    futures are outstanding at any moment, so a grid of thousands of
-    points does not materialise thousands of pickled payloads (or their
-    results) at once — completed results are delivered to ``on_result``
-    as they finish and only the positional result list grows.
-
-    Failure handling follows the :class:`FailurePolicy`: failed or
-    timed-out points are retried up to ``retries`` times, then either
-    abort the sweep (``raise`` — after cancelling pending futures and
-    draining/delivering already-running ones), are dropped (``skip``), or
-    yield a :class:`PointFailure` (``record``). With a timeout set,
-    submission is capped to non-occupied workers, so a point's budget
-    starts when a worker picks it up — never while queued. A timed-out
-    *small* point's pool worker cannot be killed portably; it is
-    abandoned (its eventual result is ignored), which occupies one pool
-    slot and delays final pool shutdown but cannot fail other points.
-    Points at or above ``kill_threshold`` simulated requests
-    (``qps * horizon * fanout``) instead run on a dedicated
-    :class:`_KillablePoint` process whose timeout is enforced with a
-    hard ``terminate()``, so a runaway million-request point costs at
-    most its budget of CPU.
+    Each worker holds at most one point, so only O(jobs) payloads and
+    results are ever in flight, and a point's timeout budget starts when
+    it is sent to a worker that has reported ready — never while queued,
+    nor while a (replacement) worker starts up. Failure handling follows
+    the :class:`FailurePolicy`: a point that raises, overruns its budget
+    or loses its worker is retried up to ``retries`` times, then aborts
+    the sweep (``raise`` — after draining running points so their results
+    still reach ``on_result``), is dropped (``skip``), or yields a
+    :class:`PointFailure` (``record``). An overrunning worker is
+    SIGKILLed and a dead one replaced, so either costs one point, never
+    the sweep, and no worker outlives :meth:`map_specs`.
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        jobs: int = 4,
-        policy: Optional[FailurePolicy] = None,
-        chunk_factor: int = 4,
-        kill_threshold: Optional[float] = KILL_THRESHOLD_REQUESTS,
-    ):
+    def __init__(self, jobs: int = 4, policy: Optional[FailurePolicy] = None):
         if jobs <= 0:
             raise ConfigurationError(f"jobs must be positive, got {jobs}")
-        if chunk_factor <= 0:
-            raise ConfigurationError(
-                f"chunk_factor must be positive, got {chunk_factor}"
-            )
-        if kill_threshold is not None and kill_threshold <= 0:
-            raise ConfigurationError(
-                f"kill_threshold must be positive, got {kill_threshold}"
-            )
         self.jobs = jobs
         self.policy = policy or FailurePolicy()
-        self.chunk_factor = chunk_factor
-        #: ``None`` disables the dedicated-process path entirely.
-        self.kill_threshold = kill_threshold
 
     def map_specs(
         self,
@@ -581,9 +495,9 @@ class ProcessExecutor:
         if not specs:
             return []
         if len(specs) == 1 and self.policy.timeout is None:
-            # Pool spin-up costs more than one point; run it inline (no
+            # Worker spin-up costs more than one point; run it inline (no
             # workers, so no registry constraints). Not when a timeout is
-            # set: only the pool path can enforce one.
+            # set: only a worker process can be killed.
             return SerialExecutor(self.policy).map_specs(
                 specs, on_result, on_failure, log=log, manifest=manifest
             )
@@ -591,34 +505,16 @@ class ProcessExecutor:
 
         policy = self.policy
         results: List[Optional[Union[RunResult, PointFailure]]] = [None] * len(specs)
-        workers = min(self.jobs, len(specs))
-        if workers < self.jobs and log is not None:
+        count = min(self.jobs, len(specs))
+        if count < self.jobs and log is not None:
             # More workers than points is a configuration smell, not an
             # error: clamp and say so rather than spawning idle processes.
             log(
-                f"sweep: clamped --jobs {self.jobs} to {workers} "
+                f"sweep: clamped --jobs {self.jobs} to {count} "
                 f"(only {len(specs)} point(s) to simulate)"
             )
         queue = deque((i, 1) for i in range(len(specs)))  # (index, attempt)
-        active: Dict[object, tuple] = {}  # future -> (index, attempt, deadline)
         first_error: List[Optional[BaseException]] = [None]
-        # Timed-out futures we could not cancel: their workers are still
-        # busy, so they reduce submission capacity until they finish.
-        # (Future.running() flips as soon as an item enters the pool's
-        # call queue, so it cannot tell queued from executing — instead
-        # we never submit more work than there are non-occupied workers
-        # when a timeout is set, which makes deadline-at-submission
-        # equal deadline-at-start up to scheduler latency.)
-        abandoned: set = set()
-        # Big points on dedicated terminate()-able processes (see
-        # _KillablePoint); they count against the submission window like
-        # pool workers so total concurrency stays bounded at ``jobs``.
-        killable: List[_KillablePoint] = []
-        # Submission times, for per-point wall_s in the run manifest
-        # (keyed by future or _KillablePoint).
-        starts: Dict[object, float] = {}
-        #: Poll cadence while waiting on an occupied worker to free up.
-        poll_interval = 0.05
 
         def settle_failure(i: int, attempt: int, exc: BaseException) -> None:
             if first_error[0] is not None:
@@ -635,19 +531,10 @@ class ProcessExecutor:
                 attempt=attempt, error=_describe(exc),
             )
             if policy.mode == RAISE:
-                first_error[0] = exc
-                # Stop feeding the pool and cancel everything not yet
-                # running; still-running futures are drained below so
+                # Stop feeding workers; running points drain below so
                 # their results reach on_result (and the caches).
-                # Killable points are simply killed: unlike pool workers
-                # they can be, and an aborting sweep has no use for
-                # their eventual results.
+                first_error[0] = exc
                 queue.clear()
-                for future in list(active):
-                    future.cancel()
-                for kp in killable:
-                    kp.kill()
-                killable.clear()
                 return
             failure = PointFailure(specs[i], _describe(exc), attempt)
             if policy.mode == RECORD:
@@ -655,209 +542,114 @@ class ProcessExecutor:
             if on_failure is not None:
                 on_failure(i, specs[i], failure)
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            if policy.timeout is not None:
-                # Warm every worker first: under spawn, interpreter
-                # startup + package import can dwarf a short budget, and
-                # that cost must not be billed to the first batch.
-                wait([pool.submit(_worker_ready) for _ in range(workers)])
-            while queue or active or killable:
-                abandoned = {f for f in abandoned if not f.done()}
-                if policy.timeout is not None:
-                    # Submit only onto free workers so a point's clock
-                    # (started at submission) never ticks in the queue.
-                    window = max(0, workers - len(abandoned))
-                else:
-                    window = workers * self.chunk_factor
-                while queue and len(active) + len(killable) < window:
-                    i, attempt = queue.popleft()
-                    deadline = (
-                        monotonic() + policy.timeout
-                        if policy.timeout is not None
-                        else None
-                    )
-                    if (
-                        policy.timeout is not None
-                        and self.kill_threshold is not None
-                        and _point_size(specs[i]) >= self.kill_threshold
-                    ):
-                        # Too big to merely abandon on timeout: dedicated
-                        # process, enforced with terminate().
+        def settle(worker: _Worker, outcome: Tuple[str, object]) -> None:
+            assert worker.point is not None
+            i, attempt = worker.point
+            worker.point = None
+            kind, payload = outcome
+            if kind != "ok":
+                settle_failure(i, attempt, payload)
+                return
+            _manifest_finished(
+                manifest, i, specs[i], attempt, payload, monotonic() - worker.sent
+            )
+            results[i] = payload
+            if on_result is not None:
+                on_result(i, specs[i], payload)
+
+        workers = [_Worker() for _ in range(count)]
+        try:
+            while True:
+                for worker in workers:
+                    if queue and worker.ready and worker.point is None:
+                        i, attempt = queue.popleft()
                         _manifest_emit(
-                            manifest, "claimed", i, specs[i],
-                            attempt=attempt, lane="killable",
+                            manifest, "claimed", i, specs[i], attempt=attempt
                         )
-                        kp = _KillablePoint(i, attempt, specs[i], deadline)
-                        killable.append(kp)
-                        starts[kp] = monotonic()
-                        continue
-                    _manifest_emit(
-                        manifest, "claimed", i, specs[i],
-                        attempt=attempt, lane="pool",
-                    )
-                    future = pool.submit(_execute_spec_dict, specs[i].to_dict())
-                    active[future] = (i, attempt, deadline)
-                    starts[future] = monotonic()
-                if not active and not killable:
-                    if queue:
-                        # Every worker is occupied by an abandoned point;
-                        # wait for one to free up, then resubmit.
-                        wait(abandoned, timeout=poll_interval)
-                        continue
+                        try:
+                            worker.conn.send(specs[i].to_dict())
+                        except OSError:
+                            pass  # died while idle: the wait below fails the point
+                        worker.point = (i, attempt)
+                        worker.sent = monotonic()
+                busy = [w for w in workers if w.point is not None]
+                if not busy and not queue:
                     break
-                wait_timeout = None
-                if policy.timeout is not None:
-                    nearest = min(
-                        [deadline for _, _, deadline in active.values()]
-                        + [kp.deadline for kp in killable]
+                timeout = None
+                if policy.timeout is not None and busy:
+                    nearest = min(w.sent for w in busy) + policy.timeout
+                    timeout = max(0.0, nearest - monotonic())
+                ready = set(
+                    wait(
+                        [w.conn for w in workers]
+                        + [w.process.sentinel for w in workers],
+                        timeout,
                     )
-                    wait_timeout = max(0.0, nearest - monotonic())
-                if killable:
-                    # Killable completions can't wake wait(): poll them.
-                    wait_timeout = (
-                        poll_interval
-                        if wait_timeout is None
-                        else min(poll_interval, wait_timeout)
-                    )
-                if active:
-                    done, _ = wait(
-                        set(active),
-                        timeout=wait_timeout,
-                        return_when=FIRST_COMPLETED,
-                    )
-                else:
-                    # Only killable points remain; wait() on an empty set
-                    # returns immediately, which would busy-spin.
-                    sleep(poll_interval if wait_timeout is None else wait_timeout)
-                    done = set()
-                for future in done:
-                    i, attempt, _ = active.pop(future)
-                    wall_s = monotonic() - starts.pop(future, monotonic())
-                    try:
-                        result = future.result()
-                    except CancelledError:
+                )
+                for k, worker in enumerate(workers):
+                    if worker.conn not in ready and worker.process.sentinel not in ready:
                         continue
-                    except Exception as exc:
-                        settle_failure(i, attempt, exc)
+                    outcome = worker.receive()
+                    if outcome is not None and outcome[0] == "ready":
+                        worker.ready = True
+                    elif outcome is not None:
+                        settle(worker, outcome)
                     else:
-                        _manifest_finished(
-                            manifest, i, specs[i], attempt, result, wall_s
-                        )
-                        results[i] = result
-                        if on_result is not None:
-                            on_result(i, specs[i], result)
-                for kp in list(killable):
-                    if kp not in killable:
-                        continue  # killed by a raise-mode abort above
-                    outcome = kp.poll()
-                    if outcome is None:
-                        continue
-                    killable.remove(kp)
-                    wall_s = monotonic() - starts.pop(kp, monotonic())
-                    kind, payload = outcome
-                    if kind == "ok":
-                        _manifest_finished(
-                            manifest, kp.index, specs[kp.index],
-                            kp.attempt, payload, wall_s,
-                        )
-                        results[kp.index] = payload
-                        if on_result is not None:
-                            on_result(kp.index, specs[kp.index], payload)
-                    else:
-                        settle_failure(kp.index, kp.attempt, payload)
-                if policy.timeout is not None:
-                    now = monotonic()
-                    overdue = [
-                        future
-                        for future, (_, _, deadline) in active.items()
-                        if deadline is not None and deadline <= now
-                    ]
-                    for future in overdue:
-                        i, attempt, _ = active.pop(future)
-                        wall_s = monotonic() - starts.pop(future, monotonic())
-                        if future.done() and not future.cancelled():
-                            # Completed since the wait() snapshot: harvest
-                            # the result rather than discarding real work.
-                            try:
-                                result = future.result()
-                            except Exception as exc:
-                                settle_failure(i, attempt, exc)
-                            else:
-                                _manifest_finished(
-                                    manifest, i, specs[i], attempt,
-                                    result, wall_s,
-                                )
-                                results[i] = result
-                                if on_result is not None:
-                                    on_result(i, specs[i], result)
-                            continue
-                        _manifest_emit(
-                            manifest, "timeout", i, specs[i],
-                            attempt=attempt, budget_s=policy.timeout,
-                        )
-                        if not future.cancel():
-                            # Still running: the worker stays occupied
-                            # until the simulation finishes on its own.
-                            abandoned.add(future)
-                            if log is not None:
-                                # Name the cache key so the abandoned
-                                # point is identifiable in the store.
-                                log(
-                                    "sweep: abandoned timed-out worker "
-                                    f"still running spec {specs[i].cache_key} "
-                                    f"(attempt {attempt}, budget {policy.timeout}s)"
-                                )
-                        settle_failure(
-                            i,
-                            attempt,
-                            PointTimeoutError(
-                                f"point exceeded {policy.timeout}s "
-                                f"(spec {specs[i].cache_key})"
-                            ),
-                        )
-                    for kp in list(killable):
-                        if kp not in killable or kp.deadline > now:
-                            continue
-                        killable.remove(kp)
-                        wall_s = monotonic() - starts.pop(kp, monotonic())
-                        outcome = kp.poll()
-                        if outcome is not None:
-                            # Finished under the wire since the harvest
-                            # pass: keep the real work.
-                            kind, payload = outcome
-                            if kind == "ok":
-                                _manifest_finished(
-                                    manifest, kp.index, specs[kp.index],
-                                    kp.attempt, payload, wall_s,
-                                )
-                                results[kp.index] = payload
-                                if on_result is not None:
-                                    on_result(kp.index, specs[kp.index], payload)
-                            else:
-                                settle_failure(kp.index, kp.attempt, payload)
-                            continue
-                        _manifest_emit(
-                            manifest, "killed", kp.index, kp.spec,
-                            attempt=kp.attempt, budget_s=policy.timeout,
-                        )
-                        kp.kill()
-                        if log is not None:
-                            # Name the cache key so the killed point is
-                            # identifiable in the store.
-                            log(
-                                "sweep: killed timed-out worker running "
-                                f"spec {kp.spec.cache_key} "
-                                f"(attempt {kp.attempt}, "
-                                f"budget {policy.timeout}s)"
+                        # Woken with nothing to read, or at end of file:
+                        # the worker is gone. Fail its point only.
+                        worker.kill()
+                        if not worker.ready:
+                            raise SimulationError(
+                                "sweep worker exited before it was ready "
+                                f"(exit code {worker.process.exitcode})"
                             )
-                        settle_failure(
-                            kp.index,
-                            kp.attempt,
-                            PointTimeoutError(
-                                f"point exceeded {policy.timeout}s "
-                                f"(spec {kp.spec.cache_key}; worker killed)"
-                            ),
+                        workers[k] = _Worker()
+                        if worker.point is not None:
+                            i, attempt = worker.point
+                            settle_failure(i, attempt, SimulationError(
+                                "sweep worker died before returning a "
+                                f"result (exit code {worker.process.exitcode})"
+                            ))
+                if policy.timeout is None:
+                    continue
+                now = monotonic()
+                for k, worker in enumerate(workers):
+                    if worker.point is None or worker.sent + policy.timeout > now:
+                        continue
+                    outcome = worker.receive()
+                    if outcome is not None:
+                        # Finished under the wire: keep the real work.
+                        settle(worker, outcome)
+                        continue
+                    i, attempt = worker.point
+                    _manifest_emit(
+                        manifest, "timeout", i, specs[i],
+                        attempt=attempt, budget_s=policy.timeout,
+                    )
+                    worker.kill()
+                    workers[k] = _Worker()
+                    if log is not None:
+                        # Name the cache key so the killed point is
+                        # identifiable in the store.
+                        log(
+                            "sweep: killed timed-out worker running spec "
+                            f"{specs[i].cache_key} (attempt {attempt}, "
+                            f"budget {policy.timeout}s)"
                         )
+                    settle_failure(
+                        i,
+                        attempt,
+                        PointTimeoutError(
+                            f"point exceeded {policy.timeout}s "
+                            f"(spec {specs[i].cache_key}; worker killed)"
+                        ),
+                    )
+        finally:
+            for worker in workers:
+                if worker.point is None:
+                    worker.stop()
+                else:
+                    worker.kill()
         if first_error[0] is not None:
             raise first_error[0]
         return results
@@ -902,10 +694,9 @@ class SweepRunner:
             own policy).
         manifest: optional :class:`~repro.obs.manifest.RunManifest` —
             every sweep appends point-lifecycle JSONL events (claimed/
-            finished/memo_hit/store_hit/retry/timeout/killed) to it.
-            Forwarded to executors whose ``map_specs`` accepts a
-            ``manifest`` keyword (custom executors without it still
-            work; they just contribute no per-point events).
+            finished/memo_hit/store_hit/retry/timeout/failed) to it.
+            Executors receive it as the ``manifest`` keyword of
+            ``map_specs``.
     """
 
     def __init__(
@@ -981,19 +772,10 @@ class SweepRunner:
 
         store_hits = 0
         if store_ok[0] and misses:
-            # Batch the lookup when the store supports it (one sqlite
-            # connection for the whole grid instead of one per key).
-            get_many = getattr(self.store, "get_many", None)
-            if get_many is not None:
-                found = store_call(
-                    lambda: get_many([spec.cache_key for spec in misses])
-                ) or {}
-            else:
-                found = {}
-                for spec in misses:
-                    stored = store_call(lambda: self.store.get(spec.cache_key))
-                    if stored is not None:
-                        found[spec.cache_key] = stored
+            # One batched lookup: one sqlite connection for the whole grid.
+            found = store_call(
+                lambda: self.store.get_many([spec.cache_key for spec in misses])
+            ) or {}
             remaining: List[ScenarioSpec] = []
             for spec in misses:
                 stored = found.get(spec.cache_key)
@@ -1050,12 +832,7 @@ class SweepRunner:
             def flush_writes() -> None:
                 if not pending_writes:
                     return
-                put_many = getattr(self.store, "put_many", None)
-                if put_many is not None:
-                    put_many(pending_writes)
-                else:  # store-like test doubles without the batched API
-                    for key, result, spec in pending_writes:
-                        self.store.put(key, result, spec=spec)
+                self.store.put_many(pending_writes)
                 pending_writes.clear()
 
             def on_result(i: int, spec: ScenarioSpec, result: RunResult) -> None:
@@ -1079,21 +856,10 @@ class SweepRunner:
                 if self.progress is not None:
                     self.progress(settled[0], total, spec)
 
-            extra: Dict[str, object] = {}
-            if self.manifest is not None:
-                # Forward the manifest only to executors that take it, so
-                # custom map_specs implementations keep working unchanged.
-                try:
-                    params = inspect.signature(
-                        self.executor.map_specs
-                    ).parameters
-                except (TypeError, ValueError):  # builtins / C callables
-                    params = {}
-                if "manifest" in params:
-                    extra["manifest"] = self.manifest
             try:
                 self.executor.map_specs(
-                    misses, on_result, on_failure, log=self.log, **extra
+                    misses, on_result, on_failure,
+                    log=self.log, manifest=self.manifest,
                 )
             finally:
                 store_call(flush_writes)

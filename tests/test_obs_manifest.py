@@ -2,6 +2,7 @@
 
 import io
 import json
+import multiprocessing
 
 import pytest
 
@@ -117,20 +118,39 @@ class TestRunnerIntegration:
         failed = [row for row in rows if row["event"] == "failed"][0]
         assert "kaboom" in failed["error"]
 
-    def test_custom_executor_without_manifest_param_still_works(self):
-        class BareExecutor:
-            def map_specs(self, specs, on_result, on_failure, log=None):
-                for i, spec in enumerate(specs):
-                    on_result(i, spec, spec.execute())
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="needs fork start method (workers must inherit test registrations)",
+    )
+    def test_process_timeout_emits_one_timeout_event(self):
+        from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
+        from repro.workloads import memcached_workload
 
-        stream = io.StringIO()
-        manifest = RunManifest(stream)
-        runner = SweepRunner(executor=BareExecutor(), manifest=manifest, cache={})
-        results = runner.run_many([_spec()])
-        assert results[0] is not None
-        events = [row["event"] for row in _lines(stream)]
-        # the sweep summary still lands; per-point events need executor support
-        assert "sweep" in events
+        def sleepy():
+            import time
+
+            time.sleep(30.0)
+            return memcached_workload()
+
+        register_workload("sleepy_manifest", sleepy)
+        try:
+            key = spec_key(_spec(workload="sleepy_manifest"))
+            _, rows = self._run(
+                [_spec(workload="sleepy_manifest"), _spec(seed=8)],
+                executor="process", jobs=2,
+                policy=FailurePolicy(mode="skip", timeout=0.2),
+            )
+        finally:
+            del WORKLOAD_FACTORIES["sleepy_manifest"]
+        events = [row["event"] for row in rows]
+        assert events.count("timeout") == 1
+        assert "killed" not in events
+        timeout = [row for row in rows if row["event"] == "timeout"][0]
+        assert timeout["budget_s"] == 0.2
+        assert timeout["key"] == key
+        assert all("lane" not in row for row in rows)
+        finished = [row for row in rows if row["event"] == "finished"]
+        assert len(finished) == 1 and finished[0]["wall_s"] > 0
 
 
 class TestSummarize:

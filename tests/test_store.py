@@ -286,10 +286,10 @@ class TestRunnerIntegration:
         # A store that starts erroring mid-sweep (full disk, locked db)
         # must be dropped, not abort the run.
         class BrokenStore:
-            def get(self, key):
+            def get_many(self, keys):
                 raise OSError("disk on fire")
 
-            def put(self, key, result, spec=None):
+            def put_many(self, entries):
                 raise OSError("disk on fire")
 
         messages = []

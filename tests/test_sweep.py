@@ -443,8 +443,8 @@ class TestExecutorHygiene:
 
     @fork_only
     def test_abandoned_timeout_worker_logs_the_cache_key(self):
-        # A timed-out point's worker cannot be killed portably; the log
-        # must name the spec's cache key so the abandoned point is
+        # A timed-out point's worker is no longer abandoned but killed;
+        # the log must still name the spec's cache key so the point is
         # identifiable (e.g. against the result store) afterwards.
         from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
         from repro.workloads import memcached_workload
@@ -466,37 +466,70 @@ class TestExecutorHygiene:
                 [_spec(workload="sleepy_logged"), _spec(seed=15)]
             )
             assert isinstance(results[0], PointFailure)
+            spec_key = str(_spec(workload="sleepy_logged").cache_key)
             assert any(
-                "abandoned" in m and "sleepy_logged" in m for m in messages
+                "killed timed-out worker" in m and spec_key in m
+                for m in messages
             )
+            assert not any("abandoned" in m for m in messages)
         finally:
             del WORKLOAD_FACTORIES["sleepy_logged"]
 
 
 class TestKillablePool:
-    """Big points run on dedicated terminate()-able processes, so a
-    FailurePolicy timeout bounds worker CPU — not just caller latency."""
+    """Every process-executor point runs on a worker the parent can
+    SIGKILL, so a FailurePolicy timeout bounds worker CPU — not just
+    caller latency — and a dead worker costs only its own point."""
 
-    def test_invalid_kill_threshold_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ProcessExecutor(jobs=2, kill_threshold=0)
-        with pytest.raises(ConfigurationError):
-            ProcessExecutor(jobs=2, kill_threshold=-1.0)
+    @fork_only
+    def test_timed_out_worker_is_killed_and_logged(self):
+        # A small (400-request) point that sleeps far past its budget:
+        # the sweep must settle quickly — the worker is killed, not left
+        # to finish its sleep — the kill is logged with the spec's cache
+        # key, and no worker process outlives run_many.
+        from time import monotonic
 
-    def test_default_threshold_targets_million_request_points(self):
-        from repro.sweep.runner import KILL_THRESHOLD_REQUESTS, _point_size
+        from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
+        from repro.workloads import memcached_workload
 
-        small = _spec()  # 20 kqps * 0.02 s = 400 simulated requests
-        assert _point_size(small) < KILL_THRESHOLD_REQUESTS
-        big = _spec(qps=25_000_000, horizon=0.4)
-        assert _point_size(big) >= KILL_THRESHOLD_REQUESTS
+        def sleepy():
+            import time
+
+            time.sleep(30.0)
+            return memcached_workload()
+
+        register_workload("sleepy_killed", sleepy)
+        messages = []
+        try:
+            runner = SweepRunner(
+                executor="process", jobs=2, cache={}, log=messages.append,
+                policy=FailurePolicy(mode="record", timeout=0.2),
+            )
+            start = monotonic()
+            results = runner.run_many(
+                [_spec(workload="sleepy_killed"), _spec(seed=15)]
+            )
+            elapsed = monotonic() - start
+            assert multiprocessing.active_children() == []
+            assert isinstance(results[0], PointFailure)
+            assert "TimeoutError" in results[0].error
+            assert "worker killed" in results[0].error
+            assert results[1].completed > 0
+            # Well under the 30 s sleep: the kill actually landed.
+            assert elapsed < 10.0
+            spec_key = str(_spec(workload="sleepy_killed").cache_key)
+            assert any(
+                "killed timed-out worker" in m and spec_key in m
+                for m in messages
+            )
+        finally:
+            del WORKLOAD_FACTORIES["sleepy_killed"]
 
     @fork_only
     def test_timed_out_big_point_is_killed_and_logged(self):
-        # A hog above the (test-lowered) threshold with a tight budget:
-        # the sweep must settle quickly — the worker is terminated, not
-        # abandoned to finish its sleep — and the kill must be logged
-        # with the spec's cache key.
+        # A 10M-request point takes the same lane as a small one: past
+        # its budget its worker is killed, not left to finish the 30 s
+        # hog, and the kill is logged with the spec's cache key.
         from time import monotonic
 
         from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
@@ -509,42 +542,67 @@ class TestKillablePool:
             return memcached_workload()
 
         register_workload("big_hog", big_hog)
+        big = _spec(workload="big_hog", qps=25_000_000, horizon=0.4)
         messages = []
         try:
-            executor = ProcessExecutor(
-                jobs=2,
-                policy=FailurePolicy(mode="record", timeout=0.3),
-                kill_threshold=1.0,
-            )
             runner = SweepRunner(
-                executor=executor, cache={}, log=messages.append
+                executor="process", jobs=2, cache={}, log=messages.append,
+                policy=FailurePolicy(mode="record", timeout=0.3),
             )
             start = monotonic()
-            results = runner.run_many(
-                [_spec(workload="big_hog"), _spec(seed=25)]
-            )
+            results = runner.run_many([big, _spec(seed=25)])
             elapsed = monotonic() - start
             assert isinstance(results[0], PointFailure)
             assert "worker killed" in results[0].error
             assert results[1].completed > 0
             # Well under the hog's 30 s sleep: the kill actually landed.
             assert elapsed < 10.0
-            spec_key = str(_spec(workload="big_hog").cache_key)
             assert any(
-                "killed timed-out worker" in m and spec_key in m
+                "killed timed-out worker" in m and str(big.cache_key) in m
                 for m in messages
             )
         finally:
             del WORKLOAD_FACTORIES["big_hog"]
 
+    @fork_only
+    def test_worker_death_fails_only_its_point(self):
+        # A factory that kills its worker process outright: with one
+        # retry, that point fails twice (each time on a fresh worker)
+        # and every other point still matches the serial run.
+        import os
+
+        from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
+
+        def fatal():
+            os._exit(3)
+
+        register_workload("fatal", fatal)
+        try:
+            specs = [_spec(seed=40 + k) for k in range(6)]
+            specs.insert(3, _spec(workload="fatal"))
+            results = SweepRunner(
+                executor="process", jobs=2, cache={},
+                policy=FailurePolicy(mode="record", retries=1),
+            ).run_many(specs)
+            assert multiprocessing.active_children() == []
+            assert isinstance(results[3], PointFailure)
+            assert results[3].attempts == 2
+            assert "exit code 3" in results[3].error
+            good = specs[:3] + specs[4:]
+            serial = SweepRunner(cache={}).run_many(good)
+            assert [
+                result_record(s, r, "residency")
+                for s, r in zip(good, results[:3] + results[4:])
+            ] == [result_record(s, r, "residency") for s, r in zip(good, serial)]
+        finally:
+            del WORKLOAD_FACTORIES["fatal"]
+
     def test_killable_point_success_path_matches_serial(self):
-        # With a generous budget the dedicated process finishes and its
-        # result is harvested like any pool result.
+        # With a generous budget the worker finishes and its result is
+        # harvested like any other.
         spec = _spec(seed=26)
         executor = ProcessExecutor(
-            jobs=2,
-            policy=FailurePolicy(mode="record", timeout=60.0),
-            kill_threshold=1.0,  # every point goes the killable route
+            jobs=2, policy=FailurePolicy(mode="record", timeout=60.0)
         )
         results = SweepRunner(executor=executor, cache={}).run_many(
             [spec, _spec(seed=27)]
@@ -555,40 +613,9 @@ class TestKillablePool:
         assert results[0].package_power == serial.package_power
 
     @fork_only
-    def test_kill_threshold_none_falls_back_to_abandonment(self):
-        from repro.sweep.spec import WORKLOAD_FACTORIES, register_workload
-        from repro.workloads import memcached_workload
-
-        def sleepy_unkillable():
-            import time
-
-            time.sleep(1.2)
-            return memcached_workload()
-
-        register_workload("sleepy_unkillable", sleepy_unkillable)
-        messages = []
-        try:
-            executor = ProcessExecutor(
-                jobs=2,
-                policy=FailurePolicy(mode="record", timeout=0.2),
-                kill_threshold=None,
-            )
-            runner = SweepRunner(
-                executor=executor, cache={}, log=messages.append
-            )
-            results = runner.run_many([_spec(workload="sleepy_unkillable")])
-            assert isinstance(results[0], PointFailure)
-            assert any("abandoned" in m for m in messages)
-            assert not any("killed" in m for m in messages)
-        finally:
-            del WORKLOAD_FACTORIES["sleepy_unkillable"]
-
-    @fork_only
     def test_worker_crash_on_killable_path_is_a_point_failure(self, failing_workload):
         executor = ProcessExecutor(
-            jobs=2,
-            policy=FailurePolicy(mode="record", timeout=60.0),
-            kill_threshold=1.0,
+            jobs=2, policy=FailurePolicy(mode="record", timeout=60.0)
         )
         results = SweepRunner(executor=executor, cache={}).run_many(
             [_spec(workload=failing_workload), _spec(seed=28)]
