@@ -283,24 +283,16 @@ class CStateCatalog:
         self.active = active
         self._idle = sorted(idle_states, key=lambda s: s.depth)
         self._disabled: set = set()
-        # Governor queries read the enabled list on every idle entry (the
-        # simulation hot path); rebuild it only when the switches flip.
-        self._enabled_cache: Optional[List[CState]] = None
+        #: Enabled states shallow-to-deep (treat as read-only). A plain
+        #: attribute, rebuilt only when the switches flip: governors read
+        #: it on every idle entry (the simulation hot path).
+        self.enabled_idle_states: List[CState] = list(self._idle)
 
     # -- lookups ----------------------------------------------------------
     @property
     def idle_states(self) -> List[CState]:
         """All idle states, shallow to deep, including disabled ones."""
         return list(self._idle)
-
-    @property
-    def enabled_idle_states(self) -> List[CState]:
-        """Enabled states shallow-to-deep (cached; treat as read-only)."""
-        cache = self._enabled_cache
-        if cache is None:
-            cache = [s for s in self._idle if s.name not in self._disabled]
-            self._enabled_cache = cache
-        return cache
 
     @property
     def all_states(self) -> List[CState]:
@@ -327,7 +319,7 @@ class CStateCatalog:
         for name in names:
             self.get(name)  # validate
             self._disabled.add(name)
-        self._enabled_cache = None
+        self._refresh_enabled()
         if not self.enabled_idle_states:
             raise CStateError("cannot disable every idle state")
         return self
@@ -335,8 +327,13 @@ class CStateCatalog:
     def enable(self, *names: str) -> "CStateCatalog":
         for name in names:
             self._disabled.discard(name)
-        self._enabled_cache = None
+        self._refresh_enabled()
         return self
+
+    def _refresh_enabled(self) -> None:
+        self.enabled_idle_states = [
+            s for s in self._idle if s.name not in self._disabled
+        ]
 
     def is_enabled(self, name: str) -> bool:
         self.get(name)

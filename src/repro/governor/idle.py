@@ -92,7 +92,20 @@ class MenuGovernor(IdleGovernor):
         self._observations += 1
 
     def choose(self, catalog: CStateCatalog, hint: Optional[float] = None) -> CState:
-        return catalog.select(self.predicted_idle, self.latency_limit)
+        # CStateCatalog.select(self.predicted_idle, self.latency_limit),
+        # inlined: this runs on every idle entry. The prediction is never
+        # negative (observe_idle and __init__ reject negative inputs).
+        predicted = self._ewma * self.caution
+        limit = self.latency_limit
+        states = catalog.enabled_idle_states
+        chosen = states[0]
+        for state in states:
+            if state.target_residency > predicted:
+                continue
+            if limit is not None and state.exit_latency > limit:
+                continue
+            chosen = state
+        return chosen
 
 
 class FixedGovernor(IdleGovernor):

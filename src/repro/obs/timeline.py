@@ -4,7 +4,7 @@ A :class:`TimelineSampler` rides the engine's tick hook
 (:meth:`~repro.simkit.engine.Simulator.set_tick_hook`): at every tick
 ``k / hz`` of *simulated* time it reads — and never mutates — the
 instantaneous observables of one or more server nodes (per-C-state core
-occupancy, package power from the O(1) incremental accounting, in-flight
+occupancy, package power from the O(1) fixed-point accounting, in-flight
 and queued requests, the frequency point, cumulative energy) and appends
 one row per node. Ticks are not heap events, so a sampled run executes
 the exact same event sequence as an unsampled one; the golden-digest

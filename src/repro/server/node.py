@@ -22,10 +22,10 @@ Hot-path discipline: the per-event code allocates nothing beyond the
 engine's heap entry — callbacks are prebound per core at construction,
 requests are recycled through a free list, and scheduling goes through
 :meth:`~repro.simkit.engine.Simulator.schedule_fast` (service
-completions, C-state entries and wakes are never cancelled). The
-``fast_path=False`` reference mode routes the same call sites through the
-original Event-allocating scheduler so the golden bit-identity tests can
-replay both and compare.
+completions, C-state entries and wakes are never cancelled). A wake is
+one core transition with one power commit: the node computes the
+post-wake package power from the fixed-point accumulator, asks the turbo
+budget for the burst frequency, and wakes the core at it.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import partial
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.core.cstates import CState
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError
 from repro.governor.idle import IdleGovernor, MenuGovernor
 from repro.server.config import ServerConfiguration
 from repro.server.metrics import RunResult
@@ -47,6 +47,8 @@ from repro.simkit.stats import PercentileTracker
 from repro.simkit.trace import NULL_TRACE, TraceRecorder
 from repro.uarch.coherence import SnoopModel, SnoopTrafficGenerator
 from repro.uarch.core import INV_POWER_SCALE as _INV_POWER_SCALE
+from repro.uarch.core import POWER_SCALE as _POWER_SCALE
+from repro.uarch.core import WAKE_FREQUENCY as _WAKE_FREQUENCY
 from repro.uarch.core import Core
 from repro.uarch.package import Package, PackageConfig
 from repro.uarch.turbo import TurboBudget, TurboConfig
@@ -68,6 +70,14 @@ _ACTIVE = CoreMode.ACTIVE
 _ENTERING = CoreMode.ENTERING
 _IDLE = CoreMode.IDLE
 _WAKING = CoreMode.WAKING
+
+#: A waking core's fixed-point power at its resume frequency, by the
+#: frequency it idled at: the integer Core._commit_power derives from the
+#: same float, precomputed for the wake path.
+_RESUME_POWER_INT = {
+    frequency: int(resumed.active_power_watts * _POWER_SCALE)
+    for frequency, resumed in _WAKE_FREQUENCY.items()
+}
 
 
 class _Request:
@@ -92,7 +102,7 @@ class _CoreRuntime:
     """Mutable per-core simulation state."""
 
     __slots__ = (
-        "core", "queue", "governor", "mode", "busy", "idle_since",
+        "core", "queue", "governor", "choose", "mode", "busy", "idle_since",
         "wake_pending", "snoop_token", "in_service", "entering_state",
         "finish_cb", "entry_cb", "wake_cb", "snoop_cb",
     )
@@ -101,6 +111,7 @@ class _CoreRuntime:
         self.core = core
         self.queue: Deque[_Request] = deque()
         self.governor = governor
+        self.choose = governor.choose
         self.mode = _ACTIVE
         self.busy = False
         self.idle_since = 0.0
@@ -121,13 +132,7 @@ class _CoreRuntime:
 
 
 class ServerNode:
-    """Event-driven model of one latency-critical server.
-
-    ``fast_path`` selects the allocation-free scheduling path (the
-    default). ``False`` replays the identical event sequence through the
-    cancellable :class:`~repro.simkit.engine.Event` path — slower, used
-    by the bit-identity tests as the reference.
-    """
+    """Event-driven model of one latency-critical server."""
 
     def __init__(
         self,
@@ -144,7 +149,6 @@ class ServerNode:
         trace: Optional[TraceRecorder] = None,
         sim: Optional[Simulator] = None,
         external_arrivals: bool = False,
-        fast_path: bool = True,
         sketch_error: Optional[float] = None,
         loadgen: Optional[LoadGenerator] = None,
         telemetry_hz: Optional[float] = None,
@@ -165,16 +169,7 @@ class ServerNode:
         #: When True the node never arms its own load generator: requests
         #: arrive solely through :meth:`inject` (cluster dispatch).
         self.external_arrivals = external_arrivals
-        self.fast_path = fast_path
-        # One call-site indirection selects the scheduling path: both
-        # consume (delay/time, callback) in the same order, so sequence
-        # numbers — and therefore event order — are identical.
-        if fast_path:
-            self._sched = self.sim.schedule_fast
-            self._sched_at = self.sim.schedule_at_fast
-        else:
-            self._sched = self.sim.schedule
-            self._sched_at = self.sim.schedule_at
+        self._schedule = self.sim.schedule_fast
         self._dispatch_rng = random.Random(seed)
         # Core dispatch replicates Random._randbelow_with_getrandbits
         # inline (draw cores.bit_length() bits, reject >= cores): the
@@ -188,7 +183,7 @@ class ServerNode:
         self._loadgen: LoadGenerator = (
             loadgen if loadgen is not None else OpenLoopPoisson(qps, seed=seed + 1)
         )
-        self._sample_service = workload.service.sample
+        self._sample_service = workload.service.sampler()
         self._frequency_derate = configuration.frequency_derate
 
         catalog = configuration.catalog
@@ -202,13 +197,12 @@ class ServerNode:
             # costs a single Python frame (the handler itself).
             runtime.finish_cb = partial(self._finish_service, runtime)
             runtime.entry_cb = partial(self._entry_complete, runtime)
-            runtime.wake_cb = partial(self._wake_complete, runtime)
+            runtime.wake_cb = partial(self._serve_next, runtime)
             runtime.snoop_cb = partial(self._on_snoop, index)
         self.package = Package(
             [rt.core for rt in self._runtimes],
             PackageConfig(cores=cores, uncore_watts=uncore_watts),
             turbo=TurboBudget(turbo_config or TurboConfig(), enabled=configuration.turbo_enabled),
-            incremental=fast_path,
         )
         self.snoop_model = SnoopModel()
         self._snoops_enabled = snoops_enabled and workload.snoop_rate_hz > 0
@@ -246,6 +240,10 @@ class ServerNode:
             self._request_pool = _sanitizer.CheckedFreeList()
             san.add_audit(self._audit_package_power)
         self._pool_append = self._request_pool.append
+        # Package.package_power's operands, pinned: the wake and entry
+        # paths evaluate its expression inline (see _begin_wake).
+        self._uncore = self.package._uncore
+        self._sockets = self.package._sockets
         self._turbo = self.package.turbo
 
     def _audit_package_power(self) -> None:
@@ -259,12 +257,12 @@ class ServerNode:
         reference = 0.0
         for core in self.package.cores:
             reference += core.current_power
-        incremental = self.package._core_power_int * _INV_POWER_SCALE
+        accumulated = self.package._core_power_int * _INV_POWER_SCALE
         bound = 1e-9 * max(1.0, abs(reference))
-        if abs(incremental - reference) > bound:
+        if abs(accumulated - reference) > bound:
             raise _sanitizer.violation(
                 "SAN003", "uarch.package",
-                f"incremental core power {incremental!r} W differs from "
+                f"accumulated core power {accumulated!r} W differs from "
                 f"the re-summed reference {reference!r} W beyond the "
                 f"documented bound ({bound:.3e} W): a power delta was "
                 "dropped or double-counted",
@@ -280,8 +278,7 @@ class ServerNode:
         misbehaving generators do this) takes effect.
         """
         ArrivalStream(
-            self.sim, self._loadgen, self.horizon, self._on_arrival,
-            fast_path=self.fast_path,
+            self.sim, self._loadgen, self.horizon, self._on_arrival
         ).start()
 
     def _arm_snoops(self) -> None:
@@ -297,7 +294,7 @@ class ServerNode:
         when = self.sim.now + delay
         if when >= self.horizon:
             return
-        self._sched_at(when, self._runtimes[idx].snoop_cb)
+        self.sim.schedule_at_fast(when, self._runtimes[idx].snoop_cb)
 
     # -- request path ------------------------------------------------------------
     def inject(self, on_complete: Optional[Callable[[float], None]] = None) -> None:
@@ -338,22 +335,28 @@ class ServerNode:
         mode = rt.mode
         if mode is _ACTIVE:
             if not rt.busy:
-                self._start_service(rt)
+                # Only a core's first request finds it active and free:
+                # afterwards a core is busy or on its way to idle.
+                self._serve_next(rt)
         elif mode is _IDLE:
             self._begin_wake(rt)
         elif mode is _ENTERING:
             rt.wake_pending = True
-        # WAKING: the pending wake will drain the queue.
+        # WAKING: the pending wake will serve the queue.
 
-    def _start_service(self, rt: _CoreRuntime) -> None:
-        if rt.busy or not rt.queue:
-            raise SimulationError("invalid service start")
+    def _serve_next(self, rt: _CoreRuntime) -> None:
+        """Start serving the queue head on an active core.
+
+        The wake callback: a wake only begins for queued work, and nothing
+        dequeues while the core is waking, so the queue is non-empty.
+        """
+        rt.mode = _ACTIVE
         rt.busy = True
         rt.in_service = rt.queue.popleft()
-        service_time = self._sample_service(
-            rt.core.frequency, self._frequency_derate
+        self._schedule(
+            self._sample_service(rt.core._frequency, self._frequency_derate),
+            rt.finish_cb,
         )
-        self._sched(service_time, rt.finish_cb)
 
     def _finish_service(self, rt: _CoreRuntime) -> None:
         request = rt.in_service
@@ -375,26 +378,34 @@ class ServerNode:
             # Fire while the core still reads busy, so a callback that
             # synchronously injects back into this node queues safely.
             on_complete(now)
+        queue = rt.queue
+        if queue:
+            # Serve the next request (_serve_next's body, inlined).
+            rt.in_service = queue.popleft()
+            self._schedule(
+                self._sample_service(rt.core._frequency, self._frequency_derate),
+                rt.finish_cb,
+            )
+            return
+        # Go idle: the governor picks the state, entry completes later.
         rt.busy = False
-        if rt.queue:
-            self._start_service(rt)
-        else:
-            self._go_idle(rt)
-
-    # -- idle path -----------------------------------------------------------------
-    def _go_idle(self, rt: _CoreRuntime) -> None:
-        state = rt.governor.choose(self._catalog)
+        state = rt.choose(self._catalog)
         rt.mode = _ENTERING
-        rt.idle_since = self.sim.now
+        rt.idle_since = now
         rt.wake_pending = False
         rt.entering_state = state
-        self._sched(state.entry_latency, rt.entry_cb)
+        self._schedule(state.entry_latency, rt.entry_cb)
 
+    # -- idle path -----------------------------------------------------------------
     def _entry_complete(self, rt: _CoreRuntime) -> None:
         state = rt.entering_state
         now = self.sim.now
         rt.core.enter_idle(now, state)
-        self._turbo.update(now, self.package.package_power)
+        self._turbo.update(
+            now,
+            (self.package._core_power_int * _INV_POWER_SCALE + self._uncore)
+            * self._sockets,
+        )
         rt.mode = _IDLE
         trace = self.trace
         if trace.enabled:
@@ -403,41 +414,38 @@ class ServerNode:
             self._begin_wake(rt)
 
     def _begin_wake(self, rt: _CoreRuntime) -> None:
-        if rt.mode is not _IDLE:
-            raise SimulationError(f"cannot wake core in mode {rt.mode}")
         now = self.sim.now
         rt.governor.observe_idle(now - rt.idle_since)
         rt.snoop_token += 1  # invalidate in-flight snoop service
+        core = rt.core
         trace = self.trace
         if trace.enabled:
-            trace.record(now, f"core{rt.core.core_id}", "wake", rt.core.state.name)
-        exit_latency = rt.core.wake(now)
-        frequency = self._turbo.frequency_for_burst(now, self.package.package_power)
-        if frequency is not rt.core.frequency:
-            # Same-frequency DVFS is an exact no-op (zero-span accrual on
-            # an existing key, unchanged power): skip the call entirely.
-            rt.core.set_frequency(now, frequency)
+            trace.record(now, f"core{core.core_id}", "wake", core.state.name)
+        # The turbo budget sees the package power of the core already
+        # awake at its resume frequency, before any grant: the integer
+        # delta Core._commit_power would apply, added to the accumulator,
+        # then Package.package_power's expression. The core then wakes
+        # straight at the granted frequency — one transition, one commit.
+        core_power_int = (
+            self.package._core_power_int
+            + _RESUME_POWER_INT[core._frequency] - core._power_int
+        )
+        frequency = self._turbo.frequency_for_burst(
+            now, (core_power_int * _INV_POWER_SCALE + self._uncore) * self._sockets
+        )
         rt.mode = _WAKING
-        self._sched(exit_latency, rt.wake_cb)
-
-    def _wake_complete(self, rt: _CoreRuntime) -> None:
-        rt.mode = _ACTIVE
-        if rt.queue and not rt.busy:
-            self._start_service(rt)
-        elif not rt.queue:
-            # Spurious wake (race with service completion): go back idle.
-            self._go_idle(rt)
+        self._schedule(core.wake(now, frequency), rt.wake_cb)
 
     # -- snoop path -----------------------------------------------------------------
     def _on_snoop(self, idx: int) -> None:
         rt = self._runtimes[idx]
-        state = rt.core.state
+        state = rt.core._state
         if rt.mode is _IDLE and self.snoop_model.sees_snoops(state.name):
             delta = self.snoop_model.power_delta_for(state.name)
             rt.core.begin_snoop_service(self.sim.now, delta)
             token = rt.snoop_token
             duration = self.snoop_model.service_time + state.snoop_wake_overhead
-            self._sched(duration, lambda: self._end_snoop(rt, token))
+            self._schedule(duration, partial(self._end_snoop, rt, token))
             self.snoops_served += 1
             trace = self.trace
             if trace.enabled:
@@ -455,7 +463,7 @@ class ServerNode:
     def telemetry_sample(self, time: float) -> Dict[str, float]:
         """Instantaneous observables for the telemetry probes (read-only).
 
-        Reads the package's O(1) incremental power accounting, the
+        Reads the package's O(1) fixed-point power accounting, the
         non-mutating mid-run energy integral, per-core C-state occupancy
         and queue depths. Called from the engine tick hook, so it must
         never mutate simulation state — in particular it must not touch

@@ -18,8 +18,9 @@ instead of re-summing every core.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import DefaultDict, Dict, Optional
 
 from repro.core.cstates import CState, CStateCatalog, FrequencyPoint
 from repro.errors import SimulationError
@@ -35,6 +36,14 @@ POWER_SCALE = 2.0 ** 80
 #: Exact inverse (a power of two, so the product back is exact too).
 INV_POWER_SCALE = 2.0 ** -80
 
+#: Frequency a core resumes at when it wakes without an explicit grant:
+#: waking from a Pn state (C1E/C6AE) ramps back to base, any other point
+#: is kept.
+WAKE_FREQUENCY = {
+    FrequencyPoint.P1: FrequencyPoint.P1,
+    FrequencyPoint.PN: FrequencyPoint.P1,
+    FrequencyPoint.TURBO: FrequencyPoint.TURBO,
+}
 
 
 @dataclass
@@ -94,8 +103,11 @@ class Core:
         self._frequency = frequency or FrequencyPoint.P1
         self._state_since = start_time
         self._start_time = start_time
-        self._residency: Dict[str, float] = {}
-        self._transitions: Dict[str, int] = {}
+        # defaultdicts: every transition adds to these, and `+=` on a
+        # defaultdict is a plain subscript with no `.get` call; a new key
+        # starts at 0.0 / 0.
+        self._residency: DefaultDict[str, float] = defaultdict(float)
+        self._transitions: DefaultDict[str, int] = defaultdict(int)
         # Energy accounting is inlined (same arithmetic as
         # :class:`~repro.power.rapl.EnergyCounter`, whose per-call guards
         # would re-check what _accrue already validated on this hot path):
@@ -156,15 +168,6 @@ class Core:
             )
         self._package = package
 
-    def _update_power(self, time: float) -> None:
-        """Recompute power after a transition; push the delta downstream.
-
-        Used by the (rarer) snoop-service path; the lifecycle transitions
-        compute the new power inline and call :meth:`_commit_power`
-        directly.
-        """
-        self._commit_power(time, self._current_power())
-
     # -- transitions ------------------------------------------------------------
     def _accrue(self, time: float) -> None:
         if time < self._state_since:
@@ -174,7 +177,7 @@ class Core:
             )
         span = time - self._state_since
         name = self._state.name
-        self._residency[name] = self._residency.get(name, 0.0) + span
+        self._residency[name] += span
         self._state_since = time
 
     def _commit_power(self, time: float, power: float) -> None:
@@ -199,10 +202,10 @@ class Core:
         Raises:
             SimulationError: if already idle or the state is active.
         """
-        # The three lifecycle transitions (enter_idle / wake /
-        # set_frequency) run once per simulated idle period each; their
-        # accrual and power updates are inlined rather than calling
-        # _accrue/_update_power to keep the per-event frame count down.
+        # The lifecycle transitions (enter_idle / wake, and the rarer
+        # set_frequency) inline their accrual rather than calling _accrue:
+        # enter_idle and wake run once per simulated idle period each, so
+        # the frame count per request matters.
         current = self._state
         if not current._active:
             raise SimulationError(
@@ -217,18 +220,22 @@ class Core:
                 f"core {self.core_id}: time ran backwards ({time} < {since})"
             )
         residency = self._residency
-        residency[current.name] = residency.get(current.name, 0.0) + (time - since)
+        residency[current.name] += time - since
         self._state_since = time
         self._state = state
         name = state.name
         transitions = self._transitions
-        transitions[name] = transitions.get(name, 0) + 1
+        transitions[name] += 1
         if state.frequency is not None:
             self._frequency = state.frequency
         self._commit_power(time, state.power_watts + self._snoop_power_delta)
 
     def wake(self, time: float, frequency: Optional[FrequencyPoint] = None) -> float:
         """Exit the idle state back to C0; returns the exit latency paid.
+
+        ``frequency`` is the operating point to run at (the server node
+        passes its turbo decision, so a wake is one transition and one
+        power commit); ``None`` resumes at :data:`WAKE_FREQUENCY`.
 
         Raises:
             SimulationError: if the core is already active.
@@ -243,18 +250,16 @@ class Core:
                 f"core {self.core_id}: time ran backwards ({time} < {since})"
             )
         residency = self._residency
-        residency[current.name] = residency.get(current.name, 0.0) + (time - since)
+        residency[current.name] += time - since
         self._state_since = time
         self._snoop_power_delta = 0.0
         self._state = self.catalog.active
-        if frequency is not None:
-            self._frequency = frequency
-        elif self._frequency is FrequencyPoint.PN:
-            # Waking from a Pn state (C1E/C6AE) ramps back to base.
-            self._frequency = FrequencyPoint.P1
+        if frequency is None:
+            frequency = WAKE_FREQUENCY[self._frequency]
+        self._frequency = frequency
         transitions = self._transitions
-        transitions["C0"] = transitions.get("C0", 0) + 1
-        self._commit_power(time, self._frequency.active_power_watts)
+        transitions["C0"] += 1
+        self._commit_power(time, frequency.active_power_watts)
         return exit_latency
 
     def set_frequency(self, time: float, frequency: FrequencyPoint) -> None:
@@ -270,24 +275,25 @@ class Core:
                 f"core {self.core_id}: time ran backwards ({time} < {since})"
             )
         residency = self._residency
-        residency[current.name] = residency.get(current.name, 0.0) + (time - since)
+        residency[current.name] += time - since
         self._state_since = time
         self._frequency = frequency
         self._commit_power(time, frequency.active_power_watts)
 
     def begin_snoop_service(self, time: float, power_delta: float) -> None:
         """Cache domain woken to serve snoops while idle (C1 or C6A)."""
-        if self._state.is_active:
+        state = self._state
+        if state._active:
             raise SimulationError(f"core {self.core_id}: snoop service is an idle-state event")
         self._accrue(time)
         self._snoop_power_delta = power_delta
-        self._update_power(time)
+        self._commit_power(time, state.power_watts + power_delta)
 
     def end_snoop_service(self, time: float) -> None:
         """Snoop burst served; fall back to the quiescent idle power."""
         self._accrue(time)
         self._snoop_power_delta = 0.0
-        self._update_power(time)
+        self._commit_power(time, self._current_power())
 
     # -- reporting ------------------------------------------------------------
     def snapshot(self, time: float) -> CoreStats:

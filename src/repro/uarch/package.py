@@ -6,7 +6,7 @@ paper's Xeon Silver 4114 testbed: 10 physical cores plus an uncore (mesh,
 LLC, memory controllers, IO) whose power is load-insensitive to first
 order at these utilisations.
 
-Accounting is incremental: each :class:`~repro.uarch.core.Core` pushes a
+Accounting is delta-based: each :class:`~repro.uarch.core.Core` pushes a
 fixed-point delta when (and only when) its own state or frequency changes,
 so reading :attr:`Package.core_power` — which the turbo budget does on
 every C-state transition — is O(1) regardless of core count, instead of
@@ -59,11 +59,6 @@ class Package:
         cores: the core models aggregated by this socket.
         config: package parameters.
         turbo: shared turbo budget (a default one is built if omitted).
-        incremental: keep the running core-power total updated by core
-            deltas (O(1) reads; the default). ``False`` re-sums every core
-            per read — the pre-optimisation reference used by the golden
-            bit-identity tests; the delta bookkeeping still runs so modes
-            can be compared on live objects.
     """
 
     def __init__(
@@ -71,7 +66,6 @@ class Package:
         cores: Sequence[Core],
         config: PackageConfig = PackageConfig(),
         turbo: TurboBudget = None,
-        incremental: bool = True,
     ):
         if not cores:
             raise ConfigurationError("package needs at least one core")
@@ -82,7 +76,6 @@ class Package:
         self.cores: List[Core] = list(cores)
         self.config = config
         self.turbo = turbo if turbo is not None else TurboBudget(TurboConfig())
-        self._incremental = incremental
         self._core_power_int = 0
         # package_power runs per C-state transition; pin the config scalars.
         self._uncore = config.uncore_watts
@@ -94,7 +87,7 @@ class Package:
             core.attach_to_package(self)
             self._core_power_int += core.power_fixed_point
 
-    # -- incremental accounting --------------------------------------------
+    # -- delta accounting --------------------------------------------------
     def energy_joules(self, time: float) -> float:
         """Core energy integrated up to ``time`` (piecewise-constant).
 
@@ -125,7 +118,7 @@ class Package:
 
         The read-only bundle the telemetry sampler
         (:class:`repro.obs.timeline.TimelineSampler`) pulls on every
-        probe tick: instantaneous powers from the O(1) incremental
+        probe tick: instantaneous powers from the O(1) fixed-point
         accumulator plus integrated core energy via
         :meth:`energy_joules`. Never closes core accounting (unlike
         :meth:`average_package_power`), so sampling mid-run cannot
@@ -135,16 +128,12 @@ class Package:
 
     @property
     def core_power(self) -> float:
-        """Instantaneous sum of core powers (O(1) when incremental)."""
-        if not self._incremental:
-            return sum(core.current_power for core in self.cores)
+        """Instantaneous sum of core powers (O(1))."""
         return self._core_power_int * INV_POWER_SCALE
 
     @property
     def package_power(self) -> float:
         """Instantaneous socket power: cores + uncore."""
-        if not self._incremental:
-            return (self.core_power + self._uncore) * self._sockets
         return (
             self._core_power_int * INV_POWER_SCALE + self._uncore
         ) * self._sockets

@@ -106,12 +106,25 @@ class TurboBudget:
         """Frequency granted to a core starting a busy period now.
 
         Grants Turbo when enabled and the tank holds at least the grant
-        threshold; otherwise base frequency. Updates accounting first.
+        threshold; otherwise base frequency. Updates accounting first:
+        the body of :meth:`update` is inlined, as this runs on every wake.
         """
-        self.update(time, package_power)
+        previous = self._time
+        if time < previous:
+            raise SimulationError(f"turbo budget time ran backwards ({time} < {previous})")
+        if package_power < 0:
+            raise SimulationError("package power must be >= 0")
+        level = self._level + (self._sustained - self._package_power) * (time - previous)
+        if level < 0.0:
+            level = 0.0
+        elif level > self._tank:
+            level = self._tank
+        self._level = level
+        self._time = time
+        self._package_power = package_power
         if not self.enabled:
             return FrequencyPoint.P1
-        if self._level / self._tank >= self._threshold:
+        if level / self._tank >= self._threshold:
             self._grants += 1
             return FrequencyPoint.TURBO
         self._denials += 1

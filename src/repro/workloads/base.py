@@ -14,10 +14,13 @@ the AW model charges the ~1% fmax penalty of the extra power gates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import exp, log
+from random import NV_MAGICCONST
+from typing import Callable, Optional
 
 from repro.core.cstates import FrequencyPoint
 from repro.errors import WorkloadError
-from repro.simkit.distributions import Distribution
+from repro.simkit.distributions import Distribution, LogNormal
 from repro.units import US
 
 
@@ -77,6 +80,55 @@ class ServiceTimeModel:
         if ratio is None:
             ratio = self._frequency_ratio(frequency, frequency_derate)
         return self._sample_scalable() * ratio + self._sample_fixed()
+
+    def sampler(self) -> Callable[[Optional[FrequencyPoint], float], float]:
+        """A callable drawing the same service times as :meth:`sample`.
+
+        When both components are :class:`LogNormal` with ``sigma > 0``
+        (memcached, kafka), the returned function draws both in its own
+        frame: CPython's Kinderman–Monahan ``normalvariate`` loop, inlined
+        over each component's own ``Random.random``, then ``exp`` as
+        ``lognormvariate`` does. That is the identical random stream and
+        float arithmetic in one Python frame per request instead of five.
+        Any other pairing returns the bound :meth:`sample`.
+
+        The closure is built on each call and never stored, so the model
+        stays picklable.
+        """
+        scalable, fixed = self.scalable, self.fixed
+        if not (
+            type(scalable) is LogNormal and scalable._sigma > 0
+            and type(fixed) is LogNormal and fixed._sigma > 0
+        ):
+            return self.sample
+        ratios = self._ratio_cache
+        frequency_ratio = self._frequency_ratio
+        random_s, mu_s, sigma_s = scalable._rng.random, scalable._mu, scalable._sigma
+        random_f, mu_f, sigma_f = fixed._rng.random, fixed._mu, fixed._sigma
+
+        def sample(
+            frequency: Optional[FrequencyPoint] = None,
+            frequency_derate: float = 0.0,
+        ) -> float:
+            ratio = ratios.get((frequency, frequency_derate))
+            if ratio is None:
+                ratio = frequency_ratio(frequency, frequency_derate)
+            while True:
+                u1 = random_s()
+                u2 = 1.0 - random_s()
+                z = NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            scalable_time = exp(mu_s + z * sigma_s)
+            while True:
+                u1 = random_f()
+                u2 = 1.0 - random_f()
+                z = NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            return scalable_time * ratio + exp(mu_f + z * sigma_f)
+
+        return sample
 
     def mean_at(
         self,

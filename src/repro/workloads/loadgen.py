@@ -11,6 +11,8 @@ consumes it event by event.
 
 from __future__ import annotations
 
+import random
+from math import log
 from typing import Callable, Iterator
 
 from repro.errors import WorkloadError
@@ -53,10 +55,7 @@ class ArrivalStream:
 
     The stream holds one in-flight arrival, so it schedules through one
     prebound callback and remembers the pending arrival time on itself —
-    no per-arrival closure. ``fast_path=False`` routes scheduling through
-    the cancellable Event path instead (the bit-identity reference mode);
-    either way the scheduling order, and therefore the event sequence, is
-    identical.
+    no per-arrival closure.
     """
 
     def __init__(
@@ -65,38 +64,21 @@ class ArrivalStream:
         loadgen: LoadGenerator,
         horizon: float,
         on_arrival: Callable[[float], None],
-        fast_path: bool = True,
     ):
-        self._sim = sim
+        self._schedule_at = sim.schedule_at_fast
         self._loadgen = loadgen
         self._horizon = horizon
         self._on_arrival = on_arrival
         self._iter: Iterator[float] = iter(())
         self._next_arrival = 0.0
         self._fired_cb = self._fired
-        if fast_path:
-            self._schedule_at = sim.schedule_at_fast
-        else:
-            self._schedule_at = lambda t, cb: sim.schedule_at(t, cb, label="arrival")
 
     def start(self) -> None:
         """Arm the stream: schedule the first in-window arrival."""
         self._iter = self._loadgen.arrivals(self._horizon)
-        self._schedule_next()
+        self._fired(dispatch=False)
 
-    def _schedule_next(self) -> None:
-        for t in self._iter:
-            if t >= self._horizon:
-                # Generators bound arrivals to [0, horizon), but guard
-                # anyway so a custom LoadGenerator cannot fire past the
-                # accounting window; keep consuming in case later yields
-                # are in-window.
-                continue
-            self._next_arrival = t
-            self._schedule_at(t, self._fired_cb)
-            return
-
-    def _fired(self) -> None:
+    def _fired(self, dispatch: bool = True) -> None:
         # Read the pending arrival *before* chaining (chaining overwrites
         # it). Chain the successor before dispatching so, on an exact time
         # tie with the events this dispatch spawns, the next arrival still
@@ -104,8 +86,19 @@ class ArrivalStream:
         # dispatches are resolved by scheduling order, as with any event
         # source; the stochastic float-time workloads here never tie.)
         arrival = self._next_arrival
-        self._schedule_next()
-        self._on_arrival(arrival)
+        horizon = self._horizon
+        for t in self._iter:
+            if t >= horizon:
+                # Generators bound arrivals to [0, horizon), but guard
+                # anyway so a custom LoadGenerator cannot fire past the
+                # accounting window; keep consuming in case later yields
+                # are in-window.
+                continue
+            self._next_arrival = t
+            self._schedule_at(t, self._fired_cb)
+            break
+        if dispatch:
+            self._on_arrival(arrival)
 
 
 class OpenLoopPoisson(LoadGenerator):
@@ -120,7 +113,10 @@ class OpenLoopPoisson(LoadGenerator):
         if qps <= 0:
             raise WorkloadError(f"qps must be positive, got {qps}")
         self._qps = qps
-        self._interarrival = Exponential(1.0 / qps, seed=seed)
+        # The stream of Exponential(mean=1/qps, seed): its rate is
+        # computed the same way, so the draws below match it bit for bit.
+        self._rng = random.Random(seed)
+        self._lambd = 1.0 / float(1.0 / qps)
 
     @property
     def rate_qps(self) -> float:
@@ -129,11 +125,14 @@ class OpenLoopPoisson(LoadGenerator):
     def arrivals(self, horizon: float) -> Iterator[float]:
         if horizon <= 0:
             raise WorkloadError(f"horizon must be positive, got {horizon}")
-        sample = self._interarrival.sampler()
-        t = sample()
+        # Random.expovariate inlined: -log(1 - random()) / lambd is the
+        # stdlib's own expression, without its Python frame per arrival.
+        random_ = self._rng.random
+        lambd = self._lambd
+        t = -log(1.0 - random_()) / lambd
         while t < horizon:
             yield t
-            t += sample()
+            t += -log(1.0 - random_()) / lambd
 
     def expected_count(self, horizon: float) -> float:
         return self._qps * horizon
@@ -173,9 +172,7 @@ class RoundRobinThinned(LoadGenerator):
         self._nodes = nodes
         self._index = index
         self._scale = 1.0 / total_qps
-        import random as _random
-
-        self._gamma = _random.Random(seed).gammavariate
+        self._gamma = random.Random(seed).gammavariate
 
     @property
     def rate_qps(self) -> float:

@@ -1,10 +1,14 @@
 """Tests for workload models, load generators and profiles."""
 
+import math
+import pickle
+import random
+
 import pytest
 
 from repro.core.cstates import FrequencyPoint
 from repro.errors import ConfigurationError, WorkloadError
-from repro.simkit.distributions import Degenerate
+from repro.simkit.distributions import Degenerate, Exponential, LogNormal
 from repro.units import US
 from repro.workloads import (
     KAFKA_RATES,
@@ -164,6 +168,96 @@ class TestOpenLoopPoisson:
     def test_bad_horizon_rejected(self):
         with pytest.raises(WorkloadError):
             list(OpenLoopPoisson(100.0).arrivals(0.0))
+
+
+class TestInlinedSamplers:
+    """The one-frame samplers must replay the stdlib streams exactly.
+
+    ``ServiceTimeModel.sampler()`` inlines ``Random.normalvariate`` for
+    two log-normal components and ``OpenLoopPoisson.arrivals`` inlines
+    ``Random.expovariate``. Equality here is float-for-float against the
+    stdlib functions themselves, so a CPython change to either algorithm
+    fails loudly on whichever interpreter the suite runs.
+    """
+
+    OPERATING_POINTS = [
+        (FrequencyPoint.P1, 0.0), (FrequencyPoint.TURBO, 0.0),
+        (FrequencyPoint.PN, 0.01), (None, 0.01), (FrequencyPoint.TURBO, 0.01),
+    ]
+
+    @staticmethod
+    def _ratio(frequency, derate):
+        base = FrequencyPoint.P1.frequency_hz
+        return base / ((frequency or FrequencyPoint.P1).frequency_hz * (1.0 - derate))
+
+    @pytest.mark.parametrize("seed", [0, 7, 42, 100])
+    @pytest.mark.parametrize("sigma", [0.05, 0.3, 0.6, 1.5])
+    def test_fused_lognormal_matches_stdlib(self, seed, sigma):
+        means = (3 * US, 7 * US)
+        model = ServiceTimeModel(
+            scalable=LogNormal(means[0], sigma=sigma, seed=seed),
+            fixed=LogNormal(means[1], sigma=sigma * 0.5, seed=seed + 1),
+        )
+        fused = model.sampler()
+        assert fused != model.sample
+        rng_s, rng_f = random.Random(seed), random.Random(seed + 1)
+        mu_s = math.log(means[0]) - sigma * sigma / 2.0
+        mu_f = math.log(means[1]) - (sigma * 0.5) ** 2 / 2.0
+        for i in range(2000):
+            frequency, derate = self.OPERATING_POINTS[i % len(self.OPERATING_POINTS)]
+            expected = (
+                rng_s.lognormvariate(mu_s, sigma) * self._ratio(frequency, derate)
+                + rng_f.lognormvariate(mu_f, sigma * 0.5)
+            )
+            assert fused(frequency, derate) == expected
+
+    def test_fused_sampler_continues_the_sample_stream(self):
+        a, b = memcached_workload().service, memcached_workload().service
+        fused = b.sampler()
+        for i in range(500):
+            frequency, derate = self.OPERATING_POINTS[i % len(self.OPERATING_POINTS)]
+            if i % 3:
+                assert a.sample(frequency, derate) == fused(frequency, derate)
+            else:
+                assert a.sample(frequency, derate) == b.sample(frequency, derate)
+
+    def test_zero_sigma_keeps_the_component_path(self):
+        model = ServiceTimeModel(
+            scalable=LogNormal(4 * US, sigma=0.0, seed=1),
+            fixed=LogNormal(6 * US, sigma=0.5, seed=2),
+        )
+        assert model.sampler() == model.sample
+        rng = random.Random(2)
+        mu = math.log(6 * US) - 0.125
+        for _ in range(200):
+            assert model.sampler()() == 4 * US + rng.lognormvariate(mu, 0.5)
+
+    def test_mixture_keeps_the_component_path(self):
+        a, b = mysql_workload().service, mysql_workload().service
+        assert b.sampler() == b.sample
+        draws = [b.sampler()(FrequencyPoint.TURBO, 0.01) for _ in range(500)]
+        assert draws == [a.sample(FrequencyPoint.TURBO, 0.01) for _ in range(500)]
+
+    def test_memcached_workload_pickle_round_trip(self):
+        original = memcached_workload()
+        original.service.sample()
+        restored = pickle.loads(pickle.dumps(original))
+        fused, restored_fused = original.service.sampler(), restored.service.sampler()
+        assert [fused(FrequencyPoint.TURBO, 0.0) for _ in range(200)] == [
+            restored_fused(FrequencyPoint.TURBO, 0.0) for _ in range(200)
+        ]
+
+    @pytest.mark.parametrize("seed", [1, 43, 1001])
+    @pytest.mark.parametrize("qps", [3_000, 15_000.0, 120_000, 777_777.7])
+    def test_poisson_arrivals_match_stdlib_expovariate(self, seed, qps):
+        horizon = 2000 / qps
+        rng = random.Random(seed)
+        lambd = 1.0 / Exponential(1.0 / qps).mean
+        expected, t = [], rng.expovariate(lambd)
+        while t < horizon:
+            expected.append(t)
+            t += rng.expovariate(lambd)
+        assert list(OpenLoopPoisson(qps, seed=seed).arrivals(horizon)) == expected
 
 
 class TestBurstyLoadGenerator:
